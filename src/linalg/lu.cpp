@@ -1,5 +1,6 @@
 #include "linalg/lu.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -45,42 +46,54 @@ LuDecomposition lu_decompose(const Matrix& a) {
     return f;
 }
 
-std::vector<cplx> lu_solve(const LuDecomposition& f, const std::vector<cplx>& b) {
-    const std::size_t n = f.lu.rows();
-    if (b.size() != n) throw std::invalid_argument("lu_solve: rhs size mismatch");
-    std::vector<cplx> x(n);
-    // Forward substitution with permuted rhs (L has implicit unit diagonal).
-    for (std::size_t r = 0; r < n; ++r) {
-        cplx acc = b[f.perm[r]];
-        for (std::size_t c = 0; c < r; ++c) acc -= f.lu(r, c) * x[c];
-        x[r] = acc;
+void solve_in_place(Matrix& a, Matrix& b) {
+    if (!a.is_square()) throw std::invalid_argument("solve: matrix not square");
+    const std::size_t n = a.rows();
+    if (b.rows() != n) throw std::invalid_argument("solve: rhs rows mismatch");
+    const std::size_t m = b.cols();
+    cplx* pa = a.data();
+    cplx* pb = b.data();
+    for (std::size_t col = 0; col < n; ++col) {
+        std::size_t pivot = col;
+        double best = std::abs(pa[col * n + col]);
+        for (std::size_t r = col + 1; r < n; ++r) {
+            const double v = std::abs(pa[r * n + col]);
+            if (v > best) {
+                best = v;
+                pivot = r;
+            }
+        }
+        if (best == 0.0) throw std::domain_error("solve: singular matrix");
+        if (pivot != col) {
+            std::swap_ranges(pa + col * n + col, pa + col * n + n, pa + pivot * n + col);
+            std::swap_ranges(pb + col * m, pb + col * m + m, pb + pivot * m);
+        }
+        const cplx d = pa[col * n + col];
+        for (std::size_t r = col + 1; r < n; ++r) {
+            const cplx factor = pa[r * n + col] / d;
+            if (factor == cplx{0.0, 0.0}) continue;
+            for (std::size_t c = col + 1; c < n; ++c) pa[r * n + c] -= factor * pa[col * n + c];
+            for (std::size_t c = 0; c < m; ++c) pb[r * m + c] -= factor * pb[col * m + c];
+        }
     }
-    // Back substitution.
-    for (std::size_t ri = n; ri-- > 0;) {
-        cplx acc = x[ri];
-        for (std::size_t c = ri + 1; c < n; ++c) acc -= f.lu(ri, c) * x[c];
-        x[ri] = acc / f.lu(ri, ri);
+    // Back substitution, one right-hand-side row at a time.
+    for (std::size_t r = n; r-- > 0;) {
+        cplx* xr = pb + r * m;
+        for (std::size_t c = r + 1; c < n; ++c) {
+            const cplx f = pa[r * n + c];
+            const cplx* xc = pb + c * m;
+            for (std::size_t j = 0; j < m; ++j) xr[j] -= f * xc[j];
+        }
+        const cplx d = pa[r * n + r];
+        for (std::size_t j = 0; j < m; ++j) xr[j] /= d;
     }
-    return x;
-}
-
-Matrix lu_solve(const LuDecomposition& f, const Matrix& b) {
-    const std::size_t n = f.lu.rows();
-    if (b.rows() != n) throw std::invalid_argument("lu_solve: rhs rows mismatch");
-    Matrix x(n, b.cols());
-    std::vector<cplx> col(n);
-    for (std::size_t c = 0; c < b.cols(); ++c) {
-        for (std::size_t r = 0; r < n; ++r) col[r] = b(r, c);
-        const std::vector<cplx> sol = lu_solve(f, col);
-        for (std::size_t r = 0; r < n; ++r) x(r, c) = sol[r];
-    }
-    return x;
 }
 
 Matrix solve(const Matrix& a, const Matrix& b) {
-    const LuDecomposition f = lu_decompose(a);
-    if (f.singular) throw std::domain_error("solve: singular matrix");
-    return lu_solve(f, b);
+    Matrix lu = a;
+    Matrix x = b;
+    solve_in_place(lu, x);
+    return x;
 }
 
 Matrix inverse(const Matrix& a) { return solve(a, Matrix::identity(a.rows())); }

@@ -1,6 +1,6 @@
 // LU decomposition with partial pivoting for complex matrices, plus linear
-// solves. Used by the Pade approximant in expm() and available as a general
-// substrate (e.g. computing inverses of small unitaries in tests).
+// solves. The in-place solve is the last step of the Pade approximant in
+// expm(); the factorization backs determinant().
 #pragma once
 
 #include "linalg/matrix.h"
@@ -22,11 +22,11 @@ struct LuDecomposition {
 /// Factor a square matrix. Never throws on singular input; check `.singular`.
 LuDecomposition lu_decompose(const Matrix& a);
 
-/// Solve A*x = b for a single right-hand side using a precomputed factorization.
-std::vector<cplx> lu_solve(const LuDecomposition& f, const std::vector<cplx>& b);
-
-/// Solve A*X = B (matrix right-hand side).
-Matrix lu_solve(const LuDecomposition& f, const Matrix& b);
+/// Solve A*X = B in place: `b` is overwritten with X, and `a` is consumed as
+/// scratch (its contents afterwards are unspecified). Gaussian elimination
+/// with partial pivoting on the augmented system; allocates nothing. Throws
+/// std::domain_error if A is singular.
+void solve_in_place(Matrix& a, Matrix& b);
 
 /// Convenience: solve A*X = B directly. Throws std::domain_error if A is singular.
 Matrix solve(const Matrix& a, const Matrix& b);

@@ -119,21 +119,30 @@ Matrix operator-(Matrix lhs, const Matrix& rhs) {
 }
 
 Matrix operator*(const Matrix& lhs, const Matrix& rhs) {
+    Matrix out(lhs.rows(), rhs.cols());
+    multiply_into(lhs, rhs, out);
+    return out;
+}
+
+void multiply_into(const Matrix& lhs, const Matrix& rhs, Matrix& out) {
     if (lhs.cols() != rhs.rows())
         throw std::invalid_argument("Matrix *: inner dimension mismatch");
-    Matrix out(lhs.rows(), rhs.cols());
     const std::size_t n = lhs.rows(), k = lhs.cols(), m = rhs.cols();
+    if (out.rows() != n || out.cols() != m) out = Matrix(n, m);
+    else std::fill(out.data(), out.data() + n * m, cplx{0.0, 0.0});
     // i-k-j loop order keeps the inner loop contiguous for row-major storage.
+    const cplx* a = lhs.data();
+    const cplx* b = rhs.data();
+    cplx* o = out.data();
     for (std::size_t i = 0; i < n; ++i) {
+        cplx* orow = o + i * m;
         for (std::size_t p = 0; p < k; ++p) {
-            const cplx a = lhs(i, p);
-            if (a == cplx{0.0, 0.0}) continue;
-            const cplx* rrow = rhs.data() + p * m;
-            cplx* orow = out.data() + i * m;
-            for (std::size_t j = 0; j < m; ++j) orow[j] += a * rrow[j];
+            const cplx x = a[i * k + p];
+            if (x == cplx{0.0, 0.0}) continue;
+            const cplx* rrow = b + p * m;
+            for (std::size_t j = 0; j < m; ++j) orow[j] += x * rrow[j];
         }
     }
-    return out;
 }
 
 Matrix operator*(cplx s, Matrix m) {

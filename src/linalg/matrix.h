@@ -75,6 +75,10 @@ private:
 Matrix operator+(Matrix lhs, const Matrix& rhs);
 Matrix operator-(Matrix lhs, const Matrix& rhs);
 Matrix operator*(const Matrix& lhs, const Matrix& rhs);
+/// out = lhs * rhs into caller-owned storage: `out` is reshaped only when its
+/// shape differs, so a loop reusing it allocates nothing after the first call.
+/// `out` must not alias `lhs` or `rhs`.
+void multiply_into(const Matrix& lhs, const Matrix& rhs, Matrix& out);
 Matrix operator*(cplx s, Matrix m);
 Matrix operator*(Matrix m, cplx s);
 

@@ -1,6 +1,6 @@
 #include "qoc/crab.h"
 
-#include "linalg/expm.h"
+#include "qoc/propagator.h"
 
 #include <cmath>
 #include <numbers>
@@ -8,21 +8,6 @@
 #include <stdexcept>
 
 namespace epoc::qoc {
-
-namespace {
-
-using linalg::cplx;
-
-cplx overlap(const Matrix& a, const Matrix& b) {
-    cplx w{0.0, 0.0};
-    const std::size_t n = a.rows() * a.cols();
-    const cplx* pa = a.data();
-    const cplx* pb = b.data();
-    for (std::size_t i = 0; i < n; ++i) w += std::conj(pa[i]) * pb[i];
-    return w;
-}
-
-} // namespace
 
 Pulse crab_optimize(const BlockHamiltonian& h, const Matrix& target, int num_slots,
                     const CrabOptions& opt) {
@@ -68,7 +53,8 @@ Pulse crab_optimize(const BlockHamiltonian& h, const Matrix& target, int num_slo
 
     std::vector<std::vector<double>> amps(nc, std::vector<double>(ns));
     std::vector<std::vector<double>> squash(nc, std::vector<double>(ns));
-    std::vector<Matrix> slot_u(ns), fwd(ns + 1), bwd(ns + 1);
+    Propagator prop(h, h.dt);
+    std::vector<std::vector<cplx>> dw;
 
     Pulse best;
     best.dt = h.dt;
@@ -86,21 +72,7 @@ Pulse crab_optimize(const BlockHamiltonian& h, const Matrix& target, int num_slo
                 squash[j][s] = h.controls[j].bound * (1.0 - th * th);
             }
 
-        fwd[0] = Matrix::identity(dim);
-        for (std::size_t s = 0; s < ns; ++s) {
-            Matrix hk = h.drift;
-            for (std::size_t j = 0; j < nc; ++j) {
-                Matrix term = h.controls[j].h;
-                term *= cplx{amps[j][s], 0.0};
-                hk += term;
-            }
-            slot_u[s] = linalg::exp_i(hk, h.dt);
-            fwd[s + 1] = slot_u[s] * fwd[s];
-        }
-        bwd[ns] = Matrix::identity(dim);
-        for (std::size_t s = ns; s-- > 0;) bwd[s] = bwd[s + 1] * slot_u[s];
-
-        const cplx w = overlap(target, fwd[ns]);
+        const cplx w = overlap(target, prop.propagate(amps, ns));
         const double fidelity = std::abs(w) / d;
         if (fidelity > best_f) {
             best_f = fidelity;
@@ -112,13 +84,11 @@ Pulse crab_optimize(const BlockHamiltonian& h, const Matrix& target, int num_slo
         const cplx wbar = (std::abs(w) > 1e-15) ? std::conj(w) / std::abs(w) : cplx{1.0, 0.0};
 
         // dF/du_js first (as in GRAPE), then chain rule into coefficients.
+        prop.overlap_gradient(target, dw);
         std::vector<double> grad(x.size(), 0.0);
         for (std::size_t s = 0; s < ns; ++s) {
             for (std::size_t j = 0; j < nc; ++j) {
-                const Matrix du = bwd[s + 1] * (h.controls[j].h * fwd[s + 1]);
-                cplx dw = overlap(target, du);
-                dw *= cplx{0.0, -h.dt};
-                const double dfid_du = std::real(wbar * dw) / d;
+                const double dfid_du = std::real(wbar * dw[j][s]) / d;
                 const double common = -dfid_du * squash[j][s]; // minimize -F
                 for (std::size_t b = 0; b < nb; ++b)
                     grad[j * nb + b] += common * basis[b][s];

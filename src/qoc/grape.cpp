@@ -1,6 +1,6 @@
 #include "qoc/grape.h"
 
-#include "linalg/expm.h"
+#include "qoc/propagator.h"
 #include "util/fault_injection.h"
 
 #include <algorithm>
@@ -11,34 +11,9 @@
 
 namespace epoc::qoc {
 
-namespace {
-
-using linalg::cplx;
-
-cplx overlap(const Matrix& a, const Matrix& b) {
-    cplx w{0.0, 0.0};
-    const std::size_t n = a.rows() * a.cols();
-    const cplx* pa = a.data();
-    const cplx* pb = b.data();
-    for (std::size_t i = 0; i < n; ++i) w += std::conj(pa[i]) * pb[i];
-    return w;
-}
-
-} // namespace
-
 Matrix pulse_unitary(const BlockHamiltonian& h, const Pulse& p) {
-    const std::size_t dim = h.drift.rows();
-    Matrix u = Matrix::identity(dim);
-    for (int k = 0; k < p.num_slots(); ++k) {
-        Matrix hk = h.drift;
-        for (std::size_t j = 0; j < h.controls.size(); ++j) {
-            Matrix term = h.controls[j].h;
-            term *= cplx{p.amplitudes[j][static_cast<std::size_t>(k)], 0.0};
-            hk += term;
-        }
-        u = linalg::exp_i(hk, p.dt) * u;
-    }
-    return u;
+    Propagator prop(h, p.dt);
+    return prop.propagate(p.amplitudes, static_cast<std::size_t>(p.num_slots()));
 }
 
 Pulse grape_optimize(const BlockHamiltonian& h, const Matrix& target, int num_slots,
@@ -87,9 +62,8 @@ Pulse grape_optimize(const BlockHamiltonian& h, const Matrix& target, int num_sl
     std::vector<std::vector<double>> v(nc, std::vector<double>(ns, 0.0));
     constexpr double b1 = 0.9, b2 = 0.999, eps = 1e-8;
 
-    std::vector<Matrix> slot_u(ns);
-    std::vector<Matrix> fwd(ns + 1);  // fwd[k] = U_k ... U_1
-    std::vector<Matrix> bwd(ns + 1);  // bwd[k] = U_ns ... U_{k+1}
+    Propagator prop(h, p.dt);
+    std::vector<std::vector<cplx>> dw;
 
     auto best = p;
     double best_f = -1.0;
@@ -102,22 +76,7 @@ Pulse grape_optimize(const BlockHamiltonian& h, const Matrix& target, int num_sl
             best.timed_out = true;
             break;
         }
-        // Forward pass.
-        fwd[0] = Matrix::identity(dim);
-        for (std::size_t k = 0; k < ns; ++k) {
-            Matrix hk = h.drift;
-            for (std::size_t j = 0; j < nc; ++j) {
-                Matrix term = h.controls[j].h;
-                term *= cplx{p.amplitudes[j][k], 0.0};
-                hk += term;
-            }
-            slot_u[k] = linalg::exp_i(hk, p.dt);
-            fwd[k + 1] = slot_u[k] * fwd[k];
-        }
-        bwd[ns] = Matrix::identity(dim);
-        for (std::size_t k = ns; k-- > 0;) bwd[k] = bwd[k + 1] * slot_u[k];
-
-        const cplx w = overlap(target, fwd[ns]);
+        const cplx w = overlap(target, prop.propagate(p.amplitudes, ns));
         double fidelity = std::abs(w) / d;
         if (util::fault::maybe_fail("grape.nonfinite"))
             fidelity = std::numeric_limits<double>::quiet_NaN();
@@ -154,22 +113,17 @@ Pulse grape_optimize(const BlockHamiltonian& h, const Matrix& target, int num_sl
         const cplx wbar = (std::abs(w) > 1e-15) ? std::conj(w) / std::abs(w) : cplx{1.0, 0.0};
 
         // Gradient of cost = -fidelity (we maximize fidelity).
+        prop.overlap_gradient(target, dw);
         const double b1t = 1.0 - std::pow(b1, it);
         const double b2t = 1.0 - std::pow(b2, it);
-        for (std::size_t k = 0; k < ns; ++k) {
-            // dU/du_jk ~ bwd[k+1] * (-i dt H_j U_k) * fwd[k]
-            //          = bwd[k+1] * (-i dt H_j) * fwd[k+1]  (first order).
-            for (std::size_t j = 0; j < nc; ++j) {
-                const Matrix du = bwd[k + 1] * (h.controls[j].h * fwd[k + 1]);
-                cplx dw = overlap(target, du);
-                dw *= cplx{0.0, -p.dt};
-                const double dfid = std::real(wbar * dw) / d;
-                const double grad = -dfid; // minimize -fidelity
+        for (std::size_t j = 0; j < nc; ++j) {
+            const double bound = h.controls[j].bound;
+            for (std::size_t k = 0; k < ns; ++k) {
+                const double grad = -std::real(wbar * dw[j][k]) / d; // minimize -fidelity
                 m[j][k] = b1 * m[j][k] + (1 - b1) * grad;
                 v[j][k] = b2 * v[j][k] + (1 - b2) * grad * grad;
                 const double step =
                     opt.learning_rate * (m[j][k] / b1t) / (std::sqrt(v[j][k] / b2t) + eps);
-                const double bound = h.controls[j].bound;
                 p.amplitudes[j][k] = std::clamp(p.amplitudes[j][k] - step, -bound, bound);
             }
         }

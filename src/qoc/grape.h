@@ -2,8 +2,8 @@
 //
 // Optimizes piecewise-constant control amplitudes so the time-ordered product
 // of slot propagators exp(-i*(H0 + sum_j u_jk H_j)*dt) matches a target
-// unitary. First-order gradients with forward/backward propagator caching;
-// Adam-style updates projected onto the amplitude bounds.
+// unitary. Propagation and first-order gradients come from qoc::Propagator
+// (propagator.h); Adam-style updates projected onto the amplitude bounds.
 #pragma once
 
 #include "qoc/hamiltonian.h"

@@ -44,6 +44,10 @@ std::string PulseLibrary::key_of(const BlockHamiltonian& h, const Matrix& m,
        << opt.grape.max_iterations << ":" << exact_double(opt.grape.learning_rate)
        << ":" << opt.grape.seed << ":" << exact_double(opt.grape.init_scale) << ":"
        << opt.grape.nonfinite_retries;
+
+    // Generator epoch last: entries produced by older numerics (loose store
+    // files, shipped packs) miss instead of hitting under unchanged keys.
+    os << "|E:" << kGeneratorEpoch;
     return os.str();
 }
 

@@ -2,7 +2,8 @@
 //
 // Entries are keyed on the *full generation context*, not the unitary alone:
 //
-//   (canonical unitary, Hamiltonian fingerprint, latency-search options)
+//   (canonical unitary, Hamiltonian fingerprint, latency-search options,
+//    generator epoch)
 //
 // The unitary key is global-phase-aware in EPOC mode (two unitaries differing
 // only by e^{i*phi} share one entry, raising the hit rate; the phase-oblivious
@@ -115,6 +116,15 @@ struct PulseLibraryStats {
         return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
     }
 };
+
+/// Version of the pulse-generating numerics (propagator, gradient, expm),
+/// appended to every library key as "|E:<epoch>". Bump it with any change
+/// that alters the pulses GRAPE produces, so entries persisted by older
+/// numerics (loose store files, shipped packs) miss and are regenerated
+/// instead of hitting under unchanged keys. Epoch 1 was the seed numerics,
+/// whose keys carried no epoch component; epoch 2 is the shared Propagator
+/// with the trace-identity gradient and norm-sized Pade exponentials.
+inline constexpr int kGeneratorEpoch = 2;
 
 class PulseLibrary {
 public:

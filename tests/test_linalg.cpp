@@ -1,3 +1,4 @@
+#include "linalg/eigen.h"
 #include "linalg/expm.h"
 #include "linalg/lu.h"
 #include "linalg/matrix.h"
@@ -9,6 +10,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <random>
 
 namespace {
 
@@ -249,6 +251,62 @@ TEST(Phase, CanonicalFormHasRealPositiveDominantEntry) {
             }
     EXPECT_NEAR(ref.imag(), 0.0, 1e-9);
     EXPECT_GT(ref.real(), 0.0);
+}
+
+// Hermitian h with ||t * h||_1 == norm exactly (up to rounding).
+Matrix hermitian_with_norm(std::size_t n, double norm, double t, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::normal_distribution<double> g(0.0, 1.0);
+    Matrix h(n, n);
+    for (std::size_t r = 0; r < n; ++r) {
+        h(r, r) = cplx{g(rng), 0.0};
+        for (std::size_t c = r + 1; c < n; ++c) {
+            h(r, c) = cplx{g(rng), g(rng)};
+            h(c, r) = std::conj(h(r, c));
+        }
+    }
+    h *= cplx{norm / (t * h.one_norm()), 0.0};
+    return h;
+}
+
+TEST(Expm, EveryPadeDegreeMatchesEigenExponential) {
+    // Higham 2005, Table 2.3: theta_m for m = 3, 5, 7, 9, 13. Just below a
+    // threshold the approximant of that degree runs; just above, the next
+    // one (past theta_13, degree 13 with one squaring).
+    const double theta[] = {1.495585217958292e-2, 2.539398330063230e-1,
+                            9.504178996162932e-1, 2.097847961257068, 5.371920351148152};
+    const int below[] = {3, 5, 7, 9, 13};
+    const int above[] = {5, 7, 9, 13, 13};
+    constexpr double t = 2.0;
+    for (int i = 0; i < 5; ++i) {
+        for (const bool up : {false, true}) {
+            const double norm = theta[i] * (up ? 1.0 + 1e-6 : 1.0 - 1e-6);
+            EXPECT_EQ(expm_pade_degree(norm), up ? above[i] : below[i]) << norm;
+            for (const std::size_t n : {4u, 8u, 9u}) {
+                const Matrix h = hermitian_with_norm(n, norm, t, 100 * i + n + up);
+                Matrix a = h;
+                a *= cplx{0.0, -t};
+                ASSERT_NEAR(a.one_norm(), norm, 1e-12 * norm);
+                EXPECT_LT(exp_i(h, t).max_abs_diff(exp_i_hermitian(h, t)), 1e-12)
+                    << "norm " << norm << " n " << n;
+            }
+        }
+    }
+}
+
+TEST(Expm, ScratchReuseAcrossDimensionsAndDegrees) {
+    // One scratch serving different sizes and degrees must give the same
+    // result as a fresh one.
+    ExpmScratch scratch;
+    Matrix out;
+    for (const double norm : {3.0, 0.1, 12.0, 0.9}) {
+        for (const std::size_t n : {8u, 4u}) {
+            Matrix a = hermitian_with_norm(n, norm, 1.0, n);
+            a *= cplx{0.0, -1.0};
+            expm_into(a, out, scratch);
+            EXPECT_EQ(out.max_abs_diff(expm(a)), 0.0);
+        }
+    }
 }
 
 } // namespace

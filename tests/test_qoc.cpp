@@ -1,18 +1,27 @@
 #include "qoc/grape.h"
 #include "qoc/hamiltonian.h"
 #include "qoc/latency_search.h"
+#include "qoc/propagator.h"
 #include "qoc/pulse_library.h"
 
+#include "backend/backend.h"
 #include "circuit/circuit.h"
 #include "circuit/unitary.h"
+#include "linalg/expm.h"
 #include "linalg/phase.h"
+#include "linalg/random_unitary.h"
 #include "util/deadline.h"
 #include "util/fault_injection.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -439,6 +448,220 @@ TEST(LatencySearch, NonfiniteAbortFidelityMatchesReturnedAmplitudes) {
     EXPECT_TRUE(r.pulse.nonfinite_aborted);
     EXPECT_FALSE(r.authoritative());
     EXPECT_LT(resim_error(h, epoc::circuit::pauli_x(), r.pulse), 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Propagator numerical oracles. The propagator's trace-identity gradient is
+// checked against (a) the direct formula it replaces, evaluated per control
+// line with dense products, and (b) a central finite difference of the
+// fidelity. Re-simulated pulses must be unitary at every block dimension.
+
+using epoc::linalg::cplx;
+using Amps = std::vector<std::vector<double>>;
+using Grad = std::vector<std::vector<cplx>>;
+
+Amps random_amps(const BlockHamiltonian& h, std::size_t ns, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> uni(-1.0, 1.0);
+    Amps a(h.controls.size(), std::vector<double>(ns));
+    for (std::size_t j = 0; j < a.size(); ++j)
+        for (double& u : a[j]) u = h.controls[j].bound * uni(rng);
+    return a;
+}
+
+/// The direct first-order gradient: dw/du_jk = tr(T^dag B_{k+1} (-i dt H_j)
+/// fwd[k+1]), two dense products per control line and slot.
+Grad reference_gradient(const BlockHamiltonian& h, const Amps& amps, const Matrix& target,
+                        double dt) {
+    const std::size_t nc = h.controls.size();
+    const std::size_t ns = amps.front().size();
+    const std::size_t dim = h.drift.rows();
+    std::vector<Matrix> slot_u(ns), fwd(ns + 1), bwd(ns + 1);
+    fwd[0] = Matrix::identity(dim);
+    for (std::size_t k = 0; k < ns; ++k) {
+        Matrix hk = h.drift;
+        for (std::size_t j = 0; j < nc; ++j) {
+            Matrix term = h.controls[j].h;
+            term *= cplx{amps[j][k], 0.0};
+            hk += term;
+        }
+        slot_u[k] = epoc::linalg::exp_i(hk, dt);
+        fwd[k + 1] = slot_u[k] * fwd[k];
+    }
+    bwd[ns] = Matrix::identity(dim);
+    for (std::size_t k = ns; k-- > 0;) bwd[k] = bwd[k + 1] * slot_u[k];
+    Grad dw(nc, std::vector<cplx>(ns));
+    for (std::size_t k = 0; k < ns; ++k)
+        for (std::size_t j = 0; j < nc; ++j)
+            dw[j][k] = overlap(target, bwd[k + 1] * (h.controls[j].h * fwd[k + 1])) *
+                       cplx{0.0, -dt};
+    return dw;
+}
+
+BlockHamiltonian qutrit_block(std::vector<int> qubits) {
+    epoc::backend::Backend b("test-qutrit", epoc::circuit::CouplingMap::full(3));
+    b.levels = 3;
+    b.validate();
+    return b.block_hamiltonian(qubits);
+}
+
+TEST(Propagator, GradientMatchesPerLineProductFormula) {
+    const std::vector<BlockHamiltonian> blocks = {
+        make_block_hamiltonian(2), make_block_hamiltonian(3), qutrit_block({0, 1})};
+    for (const BlockHamiltonian& h : blocks) {
+        const std::size_t dim = h.drift.rows();
+        SCOPED_TRACE("d=" + std::to_string(dim));
+        const Amps amps = random_amps(h, 12, 7 + dim);
+        const Matrix target = epoc::linalg::random_unitary(dim, 11 + dim);
+        Propagator prop(h, h.dt);
+        prop.propagate(amps, 12);
+        Grad dw;
+        prop.overlap_gradient(target, dw);
+        const Grad ref = reference_gradient(h, amps, target, h.dt);
+        ASSERT_EQ(dw.size(), ref.size());
+        double scale = 0.0, err = 0.0;
+        for (std::size_t j = 0; j < ref.size(); ++j)
+            for (std::size_t k = 0; k < ref[j].size(); ++k) {
+                scale = std::max(scale, std::abs(ref[j][k]));
+                err = std::max(err, std::abs(dw[j][k] - ref[j][k]));
+            }
+        ASSERT_GT(scale, 0.0);
+        EXPECT_LT(err, 1e-12 * scale);
+    }
+}
+
+double fidelity_of(const BlockHamiltonian& h, const Amps& amps, const Matrix& target,
+                   double dt) {
+    Propagator prop(h, dt);
+    return std::abs(overlap(target, prop.propagate(amps, amps.front().size()))) /
+           static_cast<double>(target.rows());
+}
+
+/// Max over (j, k) of |analytic dF/du_jk - central difference|, relative to
+/// the largest analytic component.
+double fd_relative_error(const BlockHamiltonian& h, const Matrix& target, double dt) {
+    const Amps amps = random_amps(h, 6, 5);
+    Propagator prop(h, dt);
+    const cplx w = overlap(target, prop.propagate(amps, 6));
+    Grad dw;
+    prop.overlap_gradient(target, dw);
+    const double d = static_cast<double>(target.rows());
+    const cplx wbar = std::conj(w) / std::abs(w);
+    constexpr double kStep = 1e-5;
+    double scale = 0.0, err = 0.0;
+    for (std::size_t j = 0; j < amps.size(); ++j)
+        for (std::size_t k = 0; k < amps[j].size(); ++k) {
+            Amps plus = amps, minus = amps;
+            plus[j][k] += kStep;
+            minus[j][k] -= kStep;
+            const double fd = (fidelity_of(h, plus, target, dt) -
+                               fidelity_of(h, minus, target, dt)) /
+                              (2.0 * kStep);
+            const double analytic = std::real(wbar * dw[j][k]) / d;
+            scale = std::max(scale, std::abs(analytic));
+            err = std::max(err, std::abs(analytic - fd));
+        }
+    return err / scale;
+}
+
+TEST(Propagator, GradientMatchesFiniteDifference) {
+    // The gradient is first order in dt: exact when every slot Hamiltonian
+    // commutes with every control line. X(x)I, I(x)Y and X(x)Y commute
+    // pairwise, and Y's imaginary antisymmetric entries make the (row, col)
+    // orientation of the trace identity observable.
+    const Matrix x{{0.0, 1.0}, {1.0, 0.0}};
+    const Matrix y{{0.0, cplx{0.0, -1.0}}, {cplx{0.0, 1.0}, 0.0}};
+    const Matrix id = Matrix::identity(2);
+    BlockHamiltonian h;
+    h.num_qubits = 2;
+    h.dt = 2.0;
+    h.drift = epoc::linalg::kron(x, y);
+    h.drift *= cplx{0.01, 0.0};
+    h.controls = {{"x0", epoc::linalg::kron(x, id), 0.15},
+                  {"y1", epoc::linalg::kron(id, y), 0.15},
+                  {"xy", epoc::linalg::kron(x, y), 0.05}};
+    const Matrix target = epoc::linalg::random_unitary(4, 3);
+    EXPECT_LT(fd_relative_error(h, target, h.dt), 1e-6);
+
+    // On the (non-commuting) device model the first-order gradient converges
+    // to the true derivative as the slot width shrinks.
+    const BlockHamiltonian dev = make_block_hamiltonian(2);
+    const Matrix t2 = epoc::linalg::random_unitary(4, 9);
+    const double coarse = fd_relative_error(dev, t2, 0.1);
+    const double fine = fd_relative_error(dev, t2, 0.01);
+    EXPECT_LT(fine, 0.2 * coarse);
+    EXPECT_LT(fine, 1e-2);
+}
+
+TEST(Propagator, PulseUnitaryIsUnitaryAtEveryBlockDimension) {
+    const std::vector<BlockHamiltonian> blocks = {
+        make_block_hamiltonian(2), make_block_hamiltonian(3), make_block_hamiltonian(4),
+        qutrit_block({0, 1}), qutrit_block({0, 1, 2})};
+    for (const BlockHamiltonian& h : blocks) {
+        SCOPED_TRACE("d=" + std::to_string(h.drift.rows()));
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            Pulse p;
+            p.dt = h.dt;
+            p.amplitudes = random_amps(h, 24, seed);
+            EXPECT_TRUE(pulse_unitary(h, p).is_unitary(1e-12));
+        }
+    }
+}
+
+TEST(Propagator, RejectsMisshapenAmplitudes) {
+    const auto h = make_block_hamiltonian(1); // 2 control lines
+    Propagator prop(h, h.dt);
+    EXPECT_THROW(prop.propagate({{0.1, 0.1}}, 2), std::invalid_argument);
+    EXPECT_THROW(prop.propagate({{0.1, 0.1}, {0.1}}, 2), std::invalid_argument);
+    EXPECT_TRUE(prop.propagate({}, 0).approx_equal(Matrix::identity(2), 0.0));
+}
+
+// ---------------------------------------------------------------------------
+// Generator epoch: entries persisted by older numerics must miss.
+
+class MapTier final : public PulseTier {
+public:
+    std::optional<LatencyResult> load(const std::string& key, bool*) override {
+        const auto it = entries.find(key);
+        if (it == entries.end()) return std::nullopt;
+        return it->second;
+    }
+    void store(const std::string& key, const LatencyResult& r) override { entries[key] = r; }
+    std::map<std::string, LatencyResult> entries;
+};
+
+TEST(PulseLibrary, PreviousEpochKeysMiss) {
+    const auto h = make_block_hamiltonian(1);
+    LatencySearchOptions opt;
+    opt.fidelity_threshold = 0.99;
+    MapTier written;
+    PulseLibrary first;
+    first.set_store(&written);
+    first.get_or_generate(h, epoc::circuit::pauli_x(), opt);
+    ASSERT_EQ(written.entries.size(), 1u);
+    const std::string key = written.entries.begin()->first;
+    const std::string suffix = "|E:" + std::to_string(kGeneratorEpoch);
+    ASSERT_GE(key.size(), suffix.size());
+    ASSERT_EQ(key.substr(key.size() - suffix.size()), suffix);
+    const std::string base = key.substr(0, key.size() - suffix.size());
+    const LatencyResult entry = written.entries.begin()->second;
+
+    // The same entry under the previous epoch's key strings: the seed
+    // numerics (no epoch component) and an explicit E:<epoch - 1>.
+    MapTier stale;
+    stale.entries[base] = entry;
+    stale.entries[base + "|E:" + std::to_string(kGeneratorEpoch - 1)] = entry;
+    PulseLibrary second;
+    second.set_store(&stale);
+    second.get_or_generate(h, epoc::circuit::pauli_x(), opt);
+    EXPECT_EQ(second.stats().store_hits, 0u);
+    EXPECT_EQ(second.stats().store_misses, 1u);
+    EXPECT_EQ(stale.entries.count(key), 1u); // regenerated under the current key
+
+    PulseLibrary third;
+    third.set_store(&stale);
+    third.get_or_generate(h, epoc::circuit::pauli_x(), opt);
+    EXPECT_EQ(third.stats().store_hits, 1u);
 }
 
 } // namespace
