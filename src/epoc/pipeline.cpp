@@ -55,16 +55,6 @@ struct SynthFragment {
     verify::Outcome verify = verify::Outcome::not_checked;
 };
 
-/// Per-block pulse outcome: zero jobs (identity), one job (the block pulse),
-/// or several (the gate-by-gate fallback rung).
-struct PulseFragment {
-    bool visited = false;
-    std::vector<PulseJob> jobs;
-    util::BlockStatus status{util::Stage::pulse, util::Cause::none, false, {}};
-    verify::Outcome verify = verify::Outcome::not_checked;
-    double audit_err = 0.0; ///< per-fragment contribution to the error budget
-};
-
 /// Worst-outcome-wins fold for fragments auditing several pulses (the
 /// gate-by-gate rung): failed > unverified > passed > not_checked.
 verify::Outcome combine(verify::Outcome a, verify::Outcome b) {
@@ -78,6 +68,34 @@ verify::Outcome combine(verify::Outcome a, verify::Outcome b) {
         return 0;
     };
     return rank(a) >= rank(b) ? a : b;
+}
+
+/// Block bodies are local-indexed: `g` with its qubits mapped back to the
+/// global ids of `blk`.
+Gate global_gate(const partition::CircuitBlock& blk, Gate g) {
+    for (int& q : g.qubits) q = blk.qubits.at(static_cast<std::size_t>(q));
+    return g;
+}
+
+/// Record a whole-stage degradation (zx / partition / regroup / schedule):
+/// one report, and the compile is degraded.
+void degrade_stage(EpocResult& res, util::Stage stage, std::string label, util::Cause cause,
+                   std::string detail, verify::Outcome vo = verify::Outcome::not_checked) {
+    res.block_reports.push_back(
+        {stage, 0, std::move(label), {stage, cause, true, std::move(detail)}, vo});
+    res.degraded = true;
+}
+
+/// A zx / partition / regroup stage threw: report it (an injected fault
+/// apart from a real exception) and count the fallback. The caller keeps
+/// the stage's input.
+void stage_exception(EpocResult& res, util::Tracer& tracer, util::Stage stage,
+                     const std::string& name, const std::exception& e) {
+    const bool injected = dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
+    degrade_stage(res, stage, name, injected ? util::Cause::injected : util::Cause::exception,
+                  e.what());
+    if (injected) tracer.add_counter("robust.injected_faults");
+    tracer.add_counter("robust." + name + "_fallbacks");
 }
 
 /// Thrown out of build_plan on *any* degradation (deadline expiry, injected
@@ -123,6 +141,16 @@ util::BlockStatus validate_input(const Circuit& c) {
 }
 
 } // namespace
+
+/// Pulse outcome of one block or gate: zero jobs (identity), one job, or
+/// several (the gate-by-gate fallback rung).
+struct EpocCompiler::PulseFragment {
+    bool visited = false;
+    std::vector<PulseJob> jobs;
+    util::BlockStatus status{util::Stage::pulse, util::Cause::none, false, {}};
+    verify::Outcome verify = verify::Outcome::not_checked;
+    double audit_err = 0.0; ///< per-fragment contribution to the error budget
+};
 
 EpocCompiler::EpocCompiler(EpocOptions opt)
     : opt_(std::move(opt)),
@@ -303,6 +331,16 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 "synth block " + std::to_string(i) + " (" +
                     std::to_string(blk.qubits.size()) + "q)",
                 "synthesis");
+            // The fallback rung: keep the block's original gates, flagged.
+            const auto keep_original = [&](util::Cause cause, std::string detail) {
+                frag.skip = false;
+                frag.use_original = true;
+                frag.local = Circuit(0);
+                frag.status.cause = cause;
+                frag.status.fallback_taken = true;
+                frag.status.detail = std::move(detail);
+                tracer_.add_counter("robust.synth_fallbacks");
+            };
             try {
                 if (deadline.expired()) {
                     // Past the budget: keep the original gates without even
@@ -350,13 +388,9 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 // deterministic decomposition would reproduce the bug.
                 const auto analytic_audit_or_fallback = [&]() {
                     if (audit_synth()) return;
-                    frag.local = Circuit(0);
-                    frag.use_original = true;
-                    frag.status.cause = util::Cause::verify_failed;
-                    frag.status.fallback_taken = true;
-                    frag.status.detail = "synthesis audit failed; original gates kept";
                     tracer_.add_counter("verify.synth_audit_failures");
-                    tracer_.add_counter("robust.synth_fallbacks");
+                    keep_original(util::Cause::verify_failed,
+                                  "synthesis audit failed; original gates kept");
                 };
 
                 if (blk.qubits.size() == 1) {
@@ -436,26 +470,13 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 const auto cacheable = [](const synthesis::SynthesisResult& r) {
                     return !r.timed_out;
                 };
-                // Waiter-retry: single-flight publishes a timed-out result to
-                // the callers blocked on the losing leader and evicts it — but
-                // a healthy waiter inheriting it would ship another job's
-                // degradation. While our own budget is intact, re-enter the
-                // cache instead (bounded; same rule as PulseLibrary).
-                std::shared_ptr<const synthesis::SynthesisResult> sr;
-                for (int attempt = 0;; ++attempt) {
-                    bool led = false;
-                    sr = synth_cache_.get_or_compute(
-                        key,
-                        [&] {
-                            led = true;
-                            return compute();
-                        },
-                        cacheable);
-                    if (led || !sr->timed_out) break;
-                    if (deadline.expired() || attempt >= 3) break;
-                    synth_cache_.erase_if(key, sr);
-                    tracer_.add_counter("synth.waiter_retries");
-                }
+                // A waiter that inherits another job's timed-out search
+                // re-enters while our own budget lasts (see
+                // ShardedFlightCache::get_or_compute).
+                std::shared_ptr<const synthesis::SynthesisResult> sr =
+                    synth_cache_.get_or_compute(key, compute, cacheable, &deadline, [&] {
+                        tracer_.add_counter("synth.waiter_retries");
+                    });
                 // Synthesis is an optimization, not an obligation: if the
                 // searched circuit carries no fewer entangling gates than the
                 // original block (or missed the accuracy target), keep the
@@ -501,34 +522,16 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                     frag.status.detail = "bad synthesized circuit detected; recomputed";
                     return;
                 }
-                frag.local = Circuit(0);
-                frag.use_original = true;
-                frag.status.cause = util::Cause::verify_failed;
-                frag.status.fallback_taken = true;
-                frag.status.detail = "synthesis audit failed after recompute";
-                tracer_.add_counter("robust.synth_fallbacks");
-            } catch (const util::fault::InjectedFault& e) {
-                frag.skip = false;
-                frag.use_original = true;
-                frag.status.cause = util::Cause::injected;
-                frag.status.fallback_taken = true;
-                frag.status.detail = e.what();
-                tracer_.add_counter("robust.injected_faults");
-                tracer_.add_counter("robust.synth_fallbacks");
+                keep_original(util::Cause::verify_failed,
+                              "synthesis audit failed after recompute");
             } catch (const std::exception& e) {
-                frag.skip = false;
-                frag.use_original = true;
-                frag.status.cause = util::Cause::exception;
-                frag.status.fallback_taken = true;
-                frag.status.detail = e.what();
-                tracer_.add_counter("robust.synth_fallbacks");
+                const bool injected =
+                    dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
+                keep_original(injected ? util::Cause::injected : util::Cause::exception,
+                              e.what());
+                if (injected) tracer_.add_counter("robust.injected_faults");
             } catch (...) {
-                frag.skip = false;
-                frag.use_original = true;
-                frag.status.cause = util::Cause::exception;
-                frag.status.fallback_taken = true;
-                frag.status.detail = "unknown exception";
-                tracer_.add_counter("robust.synth_fallbacks");
+                keep_original(util::Cause::exception, "unknown exception");
             }
         },
         deadline.token());
@@ -559,64 +562,76 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
     return flat;
 }
 
-std::vector<PulseJob> EpocCompiler::gate_fallback_jobs(
-    const partition::CircuitBlock& blk, const qoc::LatencySearchOptions& lopt,
-    util::BlockStatus& status, verify::Outcome& outcome, double& audit_err,
-    const backend::Backend* be) {
-    std::vector<PulseJob> out;
-    for (const Gate& g : blk.body.gates()) {
-        // Block bodies are local-indexed; map back to global qubit ids.
-        std::vector<int> gq;
-        gq.reserve(g.qubits.size());
-        for (const int q : g.qubits) gq.push_back(blk.qubits.at(static_cast<std::size_t>(q)));
-        if (is_identity_unitary(g.unitary())) continue;
-        Gate gg = g;
-        gg.qubits = gq;
-        try {
-            util::fault::maybe_throw("pulse.gate");
-            const PulseTarget pt = gate_pulse_target(be, gg);
-            const qoc::BlockHamiltonian& h = block_hamiltonian(be, pt.qubits);
-            std::shared_ptr<const qoc::LatencyResult> lr =
-                library_.get_or_generate(h, pt.target, lopt);
-            if (!lr->feasible) {
-                // Bottom of the ladder for real pulse data: ship the
-                // best-so-far (below-threshold) pulse, flagged.
-                if (status.cause == util::Cause::none)
-                    status.cause = util::Cause::infeasible;
-                status.fallback_taken = true;
-                tracer_.add_counter("qoc.infeasible_blocks");
+void EpocCompiler::gate_pulse(const Gate& g, const qoc::LatencySearchOptions& lopt,
+                              const WarmSlots* warm, std::size_t slot, PulseFragment& frag,
+                              const backend::Backend* be) {
+    util::BlockStatus& status = frag.status;
+    try {
+        if (is_identity_unitary(g.unitary())) return;
+        util::fault::maybe_throw("pulse.gate");
+        const PulseTarget pt = gate_pulse_target(be, g);
+        const qoc::BlockHamiltonian& h = block_hamiltonian(be, pt.qubits);
+        qoc::LatencySearchOptions seeded = lopt;
+        if (warm != nullptr) {
+            // Plan path: seed a library miss's GRAPE run with the previous
+            // iterate's amplitudes for this gate slot. The library key
+            // excludes the seed, so hits are unaffected.
+            std::vector<std::vector<double>> seed = warm->get(slot);
+            if (!seed.empty()) {
+                seeded.grape.warm_amplitudes = std::move(seed);
+                tracer_.add_counter("qoc.warm_starts");
             }
-            const AuditedPulse audited =
-                audit_pulse_result(std::move(lr), h, pt.target, lopt, status);
-            outcome = combine(outcome, audited.outcome);
-            audit_err += audited.audit_err;
-            double f = audited.result->pulse.fidelity;
-            if (!audited.resolved) {
-                // No finer rung below a single gate: ship the re-simulated
-                // fidelity in place of the untrustworthy recorded one.
-                f = audited.fidelity;
-                tracer_.add_counter("robust.untrusted_fidelity_shipped");
-            }
-            out.push_back(PulseJob{pt.qubits, audited.result->pulse.duration(), f, ""});
-        } catch (const std::exception& e) {
-            // Rung 3: a placeholder pulse with worst-case duration and zero
-            // fidelity — structurally schedulable, and impossible to mistake
-            // for a good pulse.
-            const double dt = be != nullptr ? be->base.dt : hamiltonian(g.arity()).dt;
-            out.push_back(PulseJob{
-                gq, dt * static_cast<double>(std::max(1, lopt.max_slots)), 0.0, ""});
-            if (dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr) {
-                status.cause = util::Cause::injected;
-                tracer_.add_counter("robust.injected_faults");
-            } else if (status.cause == util::Cause::none) {
-                status.cause = util::Cause::exception;
-            }
-            status.fallback_taken = true;
-            if (status.detail.empty()) status.detail = e.what();
-            tracer_.add_counter("robust.placeholder_pulses");
         }
+        std::shared_ptr<const qoc::LatencyResult> lr =
+            library_.get_or_generate(h, pt.target, seeded);
+        if (warm != nullptr && lr->feasible && lr->authoritative())
+            warm->put(slot, lr->pulse.amplitudes);
+        // A single gate has no finer rung: ship the best below-threshold (or
+        // degraded) pulse, flagged. A block falling back to this rung already
+        // carries its own cause, which the gate's does not replace.
+        if (!lr->feasible) {
+            if (status.cause == util::Cause::none) status.cause = util::Cause::infeasible;
+            status.fallback_taken = true;
+            tracer_.add_counter("qoc.infeasible_blocks");
+        } else if (!lr->authoritative() && status.cause == util::Cause::none) {
+            status.cause = lr->injected    ? util::Cause::injected
+                           : lr->timed_out ? expiry_cause(*lopt.deadline)
+                                           : util::Cause::nonfinite;
+        }
+        // Audit (and any verify-triggered regenerate) under the un-seeded
+        // options: the cache key is identical either way, and a recompute
+        // must not re-run a possibly-bad seed.
+        const AuditedPulse audited =
+            audit_pulse_result(std::move(lr), h, pt.target, lopt, status);
+        frag.verify = combine(frag.verify, audited.outcome);
+        frag.audit_err += audited.audit_err;
+        double f = audited.result->pulse.fidelity;
+        if (!audited.resolved) {
+            // No finer rung below a single gate: ship the re-simulated
+            // fidelity in place of the untrustworthy recorded one.
+            f = audited.fidelity;
+            tracer_.add_counter("robust.untrusted_fidelity_shipped");
+        }
+        frag.jobs.push_back(
+            PulseJob{pt.qubits, audited.result->pulse.duration(), f, kind_name(g.kind)});
+    } catch (const std::exception& e) {
+        frag.jobs.push_back(placeholder_job(g, be));
+        if (dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr) {
+            status.cause = util::Cause::injected;
+            tracer_.add_counter("robust.injected_faults");
+        } else if (status.cause == util::Cause::none) {
+            status.cause = util::Cause::exception;
+        }
+        status.fallback_taken = true;
+        if (status.detail.empty()) status.detail = e.what();
+        tracer_.add_counter("robust.placeholder_pulses");
     }
-    return out;
+}
+
+PulseJob EpocCompiler::placeholder_job(const Gate& g, const backend::Backend* be) {
+    const double dt = be != nullptr ? be->base.dt : hamiltonian(g.arity()).dt;
+    return PulseJob{g.qubits, dt * static_cast<double>(std::max(1, opt_.latency.max_slots)),
+                    0.0, kind_name(g.kind)};
 }
 
 /// Generate one pulse per non-identity block, in parallel, preserving block
@@ -715,54 +730,36 @@ std::vector<PulseJob> EpocCompiler::pulse_jobs_for_blocks(
                         return;
                     }
                     // Audit still failed after the recompute: fall to the
-                    // gate-by-gate rung (the rejected block pulse is not
+                    // gate-by-gate rung below (the rejected block pulse is not
                     // shipped, so its audit error does not enter the budget).
-                    tracer_.add_counter("robust.pulse_block_fallbacks");
-                    frag.jobs =
-                        gate_fallback_jobs(blk, fine_opt, frag.status, frag.verify,
-                                           frag.audit_err, be);
-                    return;
-                }
-                // Ladder rung 2: the block pulse is infeasible or degraded —
-                // regenerate this block gate by gate (small targets are far
-                // more likely to meet the threshold / fit the budget).
-                if (!lr->feasible) {
-                    frag.status.cause = util::Cause::infeasible;
-                    tracer_.add_counter("qoc.infeasible_blocks");
-                } else if (lr->injected) {
-                    frag.status.cause = util::Cause::injected;
-                } else if (lr->timed_out) {
-                    frag.status.cause = expiry_cause(deadline);
                 } else {
-                    frag.status.cause = util::Cause::nonfinite;
+                    // The block pulse is infeasible or degraded.
+                    frag.status.cause = !lr->feasible ? util::Cause::infeasible
+                                        : lr->injected ? util::Cause::injected
+                                        : lr->timed_out ? expiry_cause(deadline)
+                                                        : util::Cause::nonfinite;
+                    frag.status.fallback_taken = true;
+                    if (!lr->feasible) tracer_.add_counter("qoc.infeasible_blocks");
                 }
-                frag.status.fallback_taken = true;
-                tracer_.add_counter("robust.pulse_block_fallbacks");
-                frag.jobs = gate_fallback_jobs(blk, fine_opt, frag.status, frag.verify,
-                                               frag.audit_err, be);
-            } catch (const util::fault::InjectedFault& e) {
-                frag.status.cause = util::Cause::injected;
-                frag.status.fallback_taken = true;
-                frag.status.detail = e.what();
-                tracer_.add_counter("robust.injected_faults");
-                tracer_.add_counter("robust.pulse_block_fallbacks");
-                frag.jobs = gate_fallback_jobs(blk, fine_opt, frag.status, frag.verify,
-                                               frag.audit_err, be);
             } catch (const std::exception& e) {
-                frag.status.cause = util::Cause::exception;
+                const bool injected =
+                    dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
+                frag.status.cause =
+                    injected ? util::Cause::injected : util::Cause::exception;
                 frag.status.fallback_taken = true;
                 frag.status.detail = e.what();
-                tracer_.add_counter("robust.pulse_block_fallbacks");
-                frag.jobs = gate_fallback_jobs(blk, fine_opt, frag.status, frag.verify,
-                                               frag.audit_err, be);
+                if (injected) tracer_.add_counter("robust.injected_faults");
             } catch (...) {
                 frag.status.cause = util::Cause::exception;
                 frag.status.fallback_taken = true;
                 frag.status.detail = "unknown exception";
-                tracer_.add_counter("robust.pulse_block_fallbacks");
-                frag.jobs = gate_fallback_jobs(blk, fine_opt, frag.status, frag.verify,
-                                               frag.audit_err, be);
             }
+            // Ladder rung 2: regenerate this block gate by gate (small
+            // targets are far more likely to meet the threshold / fit the
+            // budget), each gate through the single-gate rung.
+            tracer_.add_counter("robust.pulse_block_fallbacks");
+            for (const Gate& g : blk.body.gates())
+                gate_pulse(global_gate(blk, g), fine_opt, nullptr, 0, frag, be);
         },
         deadline.token());
 
@@ -777,17 +774,8 @@ std::vector<PulseJob> EpocCompiler::pulse_jobs_for_blocks(
             frag.status.cause = util::Cause::cancelled;
             frag.status.fallback_taken = true;
             frag.status.detail = "cancelled before the block ran";
-            for (const Gate& g : blocks[i].body.gates()) {
-                std::vector<int> gq;
-                gq.reserve(g.qubits.size());
-                for (const int q : g.qubits)
-                    gq.push_back(blocks[i].qubits.at(static_cast<std::size_t>(q)));
-                const double dt =
-                    be != nullptr ? be->base.dt : hamiltonian(g.arity()).dt;
-                frag.jobs.push_back(PulseJob{
-                    gq, dt * static_cast<double>(std::max(1, opt_.latency.max_slots)),
-                    0.0, ""});
-            }
+            for (const Gate& g : blocks[i].body.gates())
+                frag.jobs.push_back(placeholder_job(global_gate(blocks[i], g), be));
             tracer_.add_counter("robust.placeholder_pulses",
                                 static_cast<std::uint64_t>(frag.jobs.size()));
         }
@@ -834,76 +822,11 @@ std::vector<PulseJob> EpocCompiler::fine_pulse_jobs(const Circuit& current,
         current.size(),
         [&](std::size_t i) {
             const Gate& g = current.gate(i);
-            PulseFragment& frag = fine_frags[i];
-            frag.visited = true;
+            fine_frags[i].visited = true;
             const util::Tracer::Span span = tracer_.span(
                 "pulse gate " + std::to_string(i) + " (" + kind_name(g.kind) + ")",
                 "qoc");
-            try {
-                if (is_identity_unitary(g.unitary())) return;
-                util::fault::maybe_throw("pulse.gate");
-                const PulseTarget pt = gate_pulse_target(be, g);
-                const qoc::BlockHamiltonian& h = block_hamiltonian(be, pt.qubits);
-                qoc::LatencySearchOptions lopt = fine_opt;
-                if (warm != nullptr) {
-                    // Plan path: seed a library miss's GRAPE run with the
-                    // previous iterate's amplitudes for this gate slot. The
-                    // library key excludes the seed, so hits are unaffected.
-                    std::vector<std::vector<double>> seed = warm->get(i);
-                    if (!seed.empty()) {
-                        lopt.grape.warm_amplitudes = std::move(seed);
-                        tracer_.add_counter("qoc.warm_starts");
-                    }
-                }
-                std::shared_ptr<const qoc::LatencyResult> lr =
-                    library_.get_or_generate(h, pt.target, lopt);
-                if (warm != nullptr && lr->feasible && lr->authoritative())
-                    warm->put(i, lr->pulse.amplitudes);
-                if (!lr->feasible) {
-                    // A single gate has no finer rung: ship the best
-                    // below-threshold pulse, flagged.
-                    frag.status.cause = util::Cause::infeasible;
-                    frag.status.fallback_taken = true;
-                    tracer_.add_counter("qoc.infeasible_blocks");
-                } else if (!lr->authoritative()) {
-                    frag.status.cause = lr->injected ? util::Cause::injected
-                                        : lr->timed_out
-                                            ? expiry_cause(deadline)
-                                            : util::Cause::nonfinite;
-                }
-                // Audit (and any verify-triggered regenerate) under the
-                // un-seeded options: the cache key is identical either way,
-                // and a recompute must not re-run a possibly-bad seed.
-                const AuditedPulse audited =
-                    audit_pulse_result(std::move(lr), h, pt.target, fine_opt, frag.status);
-                frag.verify = audited.outcome;
-                frag.audit_err = audited.audit_err;
-                double f = audited.result->pulse.fidelity;
-                if (!audited.resolved) {
-                    // No finer rung below a single gate: ship with the
-                    // re-simulated fidelity instead of the recorded one.
-                    f = audited.fidelity;
-                    tracer_.add_counter("robust.untrusted_fidelity_shipped");
-                }
-                frag.jobs.push_back(PulseJob{pt.qubits,
-                                             audited.result->pulse.duration(), f,
-                                             kind_name(g.kind)});
-            } catch (const std::exception& e) {
-                const bool injected =
-                    dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
-                frag.status.cause =
-                    injected ? util::Cause::injected : util::Cause::exception;
-                frag.status.fallback_taken = true;
-                frag.status.detail = e.what();
-                const double dt =
-                    be != nullptr ? be->base.dt : hamiltonian(g.arity()).dt;
-                frag.jobs.push_back(PulseJob{
-                    g.qubits,
-                    dt * static_cast<double>(std::max(1, opt_.latency.max_slots)),
-                    0.0, kind_name(g.kind)});
-                if (injected) tracer_.add_counter("robust.injected_faults");
-                tracer_.add_counter("robust.placeholder_pulses");
-            }
+            gate_pulse(g, fine_opt, warm, i, fine_frags[i], be);
         },
         deadline.token());
     std::vector<PulseJob> fine_jobs;
@@ -914,12 +837,7 @@ std::vector<PulseJob> EpocCompiler::fine_pulse_jobs(const Circuit& current,
             frag.status.cause = util::Cause::cancelled;
             frag.status.fallback_taken = true;
             frag.status.detail = "cancelled before the gate ran";
-            const Gate& g = current.gate(i);
-            const double dt = be != nullptr ? be->base.dt : hamiltonian(g.arity()).dt;
-            frag.jobs.push_back(PulseJob{
-                g.qubits,
-                dt * static_cast<double>(std::max(1, opt_.latency.max_slots)), 0.0,
-                kind_name(g.kind)});
+            frag.jobs.push_back(placeholder_job(current.gate(i), be));
             tracer_.add_counter("robust.placeholder_pulses");
         }
         res.block_reports.push_back({util::Stage::pulse, i,
@@ -932,6 +850,67 @@ std::vector<PulseJob> EpocCompiler::fine_pulse_jobs(const Circuit& current,
     }
     fine_span.end();
     return fine_jobs;
+}
+
+void EpocCompiler::pulse_stage(const Circuit& current, const GroupLayout& layout,
+                               const util::Deadline& deadline, EpocResult& res,
+                               const backend::Backend* be, const CompilationPlan* warm) {
+    // The fine-grained arm (one pulse per gate) is always evaluated -- it is
+    // cheap thanks to the pulse library. With a grouped layout the grouped
+    // schedule is evaluated too and the shorter of the two wins: on wide,
+    // shallow circuits a wide block pulse can blockade qubit lines and lose
+    // to well-packed per-gate pulses.
+    const auto t0 = std::chrono::steady_clock::now();
+    double fine_budget = 0.0; // audited |recorded - resim| sum, fine arm
+    const std::vector<PulseJob> fine_jobs =
+        fine_pulse_jobs(current, deadline, res, fine_budget,
+                        warm != nullptr ? &warm->fine_warm : nullptr, be);
+    util::Tracer::Span sched_span = tracer_.span("schedule asap", "pipeline");
+    res.schedule = schedule_asap(fine_jobs, current.num_qubits());
+    sched_span.end();
+
+    double shipped_budget = fine_budget; // replaced if the grouped arm wins
+    if (layout && deadline.expired()) {
+        // No budget left for a second arm: ship the fine-grained one.
+        degrade_stage(res, util::Stage::regroup, "regroup", expiry_cause(deadline),
+                      "skipped: budget spent");
+        tracer_.add_counter("robust.deadline_skips");
+    } else if (layout) {
+        try {
+            if (const auto groups = layout()) {
+                util::Tracer::Span grouped_span =
+                    tracer_.span("pulses grouped", "pipeline");
+                double grouped_budget = 0.0;
+                const std::vector<PulseJob> jobs = pulse_jobs_for_blocks(
+                    *groups, /*coarse_granularity=*/true, deadline, res, grouped_budget,
+                    warm != nullptr ? &warm->group_warm : nullptr, be);
+                grouped_span.end();
+                util::Tracer::Span gs_span = tracer_.span("schedule asap", "pipeline");
+                PulseSchedule grouped = schedule_asap(jobs, current.num_qubits());
+                gs_span.end();
+                const bool grouped_wins = grouped.latency <= res.schedule.latency;
+                tracer_.add_counter(grouped_wins ? "pipeline.grouped_arm_wins"
+                                                 : "pipeline.fine_arm_wins");
+                if (grouped_wins) {
+                    res.schedule = std::move(grouped);
+                    shipped_budget = grouped_budget;
+                }
+            }
+        } catch (const std::exception& e) {
+            stage_exception(res, tracer_, util::Stage::regroup, "regroup", e);
+        }
+    }
+    if (res.schedule.dropped_jobs > 0) {
+        // The shipped schedule refused jobs addressing out-of-register
+        // qubits (schedule_asap drops instead of throwing): report it as a
+        // §4e schedule-stage degradation so callers see the partial schedule
+        // for what it is.
+        degrade_stage(res, util::Stage::schedule, "schedule", util::Cause::invalid_input,
+                      res.schedule.drop_detail);
+        tracer_.add_counter("robust.dropped_jobs", res.schedule.dropped_jobs);
+    }
+    if (verifier_.enabled()) verifier_.set_error_budget(shipped_budget);
+    res.qoc_ms = ms_since(t0);
 }
 
 void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline,
@@ -953,10 +932,8 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
         const auto t0 = std::chrono::steady_clock::now();
         if (opt_.use_zx) {
             if (deadline.expired()) {
-                res.block_reports.push_back(
-                    {util::Stage::zx, 0, "zx",
-                     {util::Stage::zx, expiry_cause(deadline), true, "skipped: budget spent"}});
-                res.degraded = true;
+                degrade_stage(res, util::Stage::zx, "zx", expiry_cause(deadline),
+                              "skipped: budget spent");
                 tracer_.add_counter("robust.deadline_skips");
             } else {
                 try {
@@ -970,28 +947,16 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
                     const verify::Outcome vo =
                         verifier_.check_circuit_equiv(c, zr.circuit, "zx");
                     if (vo == verify::Outcome::failed) {
-                        res.block_reports.push_back(
-                            {util::Stage::zx, 0, "zx",
-                             {util::Stage::zx, util::Cause::verify_failed, true,
-                              "zx equivalence audit failed; original circuit kept"},
-                             vo});
-                        res.degraded = true;
+                        degrade_stage(res, util::Stage::zx, "zx",
+                                      util::Cause::verify_failed,
+                                      "zx equivalence audit failed; original circuit kept",
+                                      vo);
                         tracer_.add_counter("robust.zx_fallbacks");
                     } else {
                         current = std::move(zr.circuit);
                     }
                 } catch (const std::exception& e) {
-                    const bool injected =
-                        dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
-                    res.block_reports.push_back(
-                        {util::Stage::zx, 0, "zx",
-                         {util::Stage::zx,
-                          injected ? util::Cause::injected : util::Cause::exception, true,
-                          e.what()}});
-                    res.degraded = true;
-                    current = c;
-                    if (injected) tracer_.add_counter("robust.injected_faults");
-                    tracer_.add_counter("robust.zx_fallbacks");
+                    stage_exception(res, tracer_, util::Stage::zx, "zx", e);
                 }
             }
         }
@@ -1016,12 +981,9 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
             const verify::Outcome vo =
                 verifier_.check_blocks_equiv(current, blocks, "partition");
             if (vo == verify::Outcome::failed) {
-                res.block_reports.push_back(
-                    {util::Stage::partition, 0, "partition",
-                     {util::Stage::partition, util::Cause::verify_failed, true,
-                      "partition equivalence audit failed; synthesis skipped"},
-                     vo});
-                res.degraded = true;
+                degrade_stage(res, util::Stage::partition, "partition",
+                              util::Cause::verify_failed,
+                              "partition equivalence audit failed; synthesis skipped", vo);
                 tracer_.add_counter("robust.partition_fallbacks");
             } else {
                 const util::Tracer::Span span = tracer_.span("synthesis", "pipeline");
@@ -1029,120 +991,34 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
                                             res.synthesis_ms, deadline, res, be);
             }
         } catch (const std::exception& e) {
-            const bool injected =
-                dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
-            res.block_reports.push_back(
-                {util::Stage::partition, 0, "partition",
-                 {util::Stage::partition,
-                  injected ? util::Cause::injected : util::Cause::exception, true,
-                  e.what()}});
-            res.degraded = true;
-            if (injected) tracer_.add_counter("robust.injected_faults");
-            tracer_.add_counter("robust.partition_fallbacks");
+            stage_exception(res, tracer_, util::Stage::partition, "partition", e);
         }
     }
     res.synthesized = current;
     res.synthesized_gates = current.size();
 
     // 4+5. Regroup (or not) and generate pulses (parallel over gates/blocks).
-    //
-    // The fine-grained arm (one pulse per synthesized gate) is always
-    // evaluated -- it is cheap thanks to the pulse library. With regrouping
-    // enabled the grouped schedule is evaluated too and the shorter of the
-    // two wins: on wide, shallow circuits a wide block pulse can blockade
-    // qubit lines and lose to well-packed per-gate pulses.
-    {
-        const auto t0 = std::chrono::steady_clock::now();
-
-        double fine_budget = 0.0; // audited |recorded - resim| sum, fine arm
-        std::vector<PulseJob> fine_jobs =
-            fine_pulse_jobs(current, deadline, res, fine_budget, nullptr, be);
-        util::Tracer::Span sched_span = tracer_.span("schedule asap", "pipeline");
-        const PulseSchedule fine = schedule_asap(fine_jobs, c.num_qubits());
-        sched_span.end();
-
-        double shipped_budget = fine_budget; // replaced if the grouped arm wins
-        if (opt_.regroup_enabled && deadline.expired()) {
-            // No budget left for a second arm: ship the fine-grained one.
-            res.block_reports.push_back(
-                {util::Stage::regroup, 0, "regroup",
-                 {util::Stage::regroup, expiry_cause(deadline), true,
-                  "skipped: budget spent"}});
-            res.degraded = true;
-            tracer_.add_counter("robust.deadline_skips");
-            res.schedule = fine;
-        } else if (opt_.regroup_enabled) {
-            try {
-                util::Tracer::Span regroup_span = tracer_.span("regroup", "pipeline");
-                util::fault::maybe_throw("regroup.fail");
-                const std::vector<partition::CircuitBlock> groups =
-                    regroup(current, ropt);
-                regroup_span.end();
-                tracer_.add_counter("pipeline.regroup_blocks", groups.size());
-                // Stage oracle: the regrouped block-unitary product must
-                // still be the synthesized circuit. Deterministic stage, so a
-                // failed audit drops the grouped arm instead of re-running.
-                const verify::Outcome vo =
-                    verifier_.check_blocks_equiv(current, groups, "regroup");
-                if (vo == verify::Outcome::failed) {
-                    res.block_reports.push_back(
-                        {util::Stage::regroup, 0, "regroup",
-                         {util::Stage::regroup, util::Cause::verify_failed, true,
-                          "regroup equivalence audit failed; fine-grained arm kept"},
-                         vo});
-                    res.degraded = true;
-                    tracer_.add_counter("robust.regroup_fallbacks");
-                    res.schedule = fine;
-                } else {
-                    util::Tracer::Span grouped_span =
-                        tracer_.span("pulses grouped", "pipeline");
-                    double grouped_budget = 0.0;
-                    const std::vector<PulseJob> jobs =
-                        pulse_jobs_for_blocks(groups, /*coarse_granularity=*/true,
-                                              deadline, res, grouped_budget, nullptr,
-                                              be);
-                    grouped_span.end();
-                    util::Tracer::Span gs_span =
-                        tracer_.span("schedule asap", "pipeline");
-                    const PulseSchedule grouped = schedule_asap(jobs, c.num_qubits());
-                    gs_span.end();
-                    const bool grouped_wins = grouped.latency <= fine.latency;
-                    tracer_.add_counter(grouped_wins ? "pipeline.grouped_arm_wins"
-                                                     : "pipeline.fine_arm_wins");
-                    res.schedule = grouped_wins ? grouped : fine;
-                    if (grouped_wins) shipped_budget = grouped_budget;
-                }
-            } catch (const std::exception& e) {
-                const bool injected =
-                    dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
-                res.block_reports.push_back(
-                    {util::Stage::regroup, 0, "regroup",
-                     {util::Stage::regroup,
-                      injected ? util::Cause::injected : util::Cause::exception, true,
-                      e.what()}});
-                res.degraded = true;
-                if (injected) tracer_.add_counter("robust.injected_faults");
-                tracer_.add_counter("robust.regroup_fallbacks");
-                res.schedule = fine;
-            }
-        } else {
-            res.schedule = fine;
-        }
-        if (res.schedule.dropped_jobs > 0) {
-            // The shipped schedule refused jobs addressing out-of-register
-            // qubits (schedule_asap drops instead of throwing): report it as
-            // a §4e schedule-stage degradation so callers see the partial
-            // schedule for what it is.
-            res.block_reports.push_back(
-                {util::Stage::schedule, 0, "schedule",
-                 {util::Stage::schedule, util::Cause::invalid_input, true,
-                  res.schedule.drop_detail}});
-            res.degraded = true;
-            tracer_.add_counter("robust.dropped_jobs", res.schedule.dropped_jobs);
-        }
-        if (verifier_.enabled()) verifier_.set_error_budget(shipped_budget);
-        res.qoc_ms = ms_since(t0);
-    }
+    // The grouped arm's layout is a fresh regroup of the synthesized circuit.
+    GroupLayout layout;
+    if (opt_.regroup_enabled)
+        layout = [&]() -> std::optional<std::vector<partition::CircuitBlock>> {
+            util::Tracer::Span regroup_span = tracer_.span("regroup", "pipeline");
+            util::fault::maybe_throw("regroup.fail");
+            std::vector<partition::CircuitBlock> groups = regroup(current, ropt);
+            regroup_span.end();
+            tracer_.add_counter("pipeline.regroup_blocks", groups.size());
+            // Stage oracle: the regrouped block-unitary product must still
+            // be the synthesized circuit. Deterministic stage, so a failed
+            // audit drops the grouped arm instead of re-running.
+            const verify::Outcome vo =
+                verifier_.check_blocks_equiv(current, groups, "regroup");
+            if (vo != verify::Outcome::failed) return groups;
+            degrade_stage(res, util::Stage::regroup, "regroup", util::Cause::verify_failed,
+                          "regroup equivalence audit failed; fine-grained arm kept", vo);
+            tracer_.add_counter("robust.regroup_fallbacks");
+            return std::nullopt;
+        };
+    pulse_stage(current, layout, deadline, res, be);
 }
 
 CompilationPlan EpocCompiler::build_plan(const Circuit& c,
@@ -1281,57 +1157,12 @@ bool EpocCompiler::instantiate_plan(const CompilationPlan& plan,
     res.synthesized = skel;
     res.synthesized_gates = skel.size();
 
-    // Pulse stage: the same two-arm evaluation as the cold pipeline, with
-    // per-slot warm starting when enabled (advisory only — see plan_cache.h).
-    const auto t0 = std::chrono::steady_clock::now();
-    double fine_budget = 0.0;
-    const WarmSlots* fine_warm = opt_.plan_warm_start ? &plan.fine_warm : nullptr;
-    std::vector<PulseJob> fine_jobs =
-        fine_pulse_jobs(skel, deadline, res, fine_budget, fine_warm, be);
-    util::Tracer::Span sched_span = tracer_.span("schedule asap", "pipeline");
-    const PulseSchedule fine = schedule_asap(fine_jobs, skel.num_qubits());
-    sched_span.end();
-
-    double shipped_budget = fine_budget;
-    if (!groups.empty() && deadline.expired()) {
-        // No budget left for the second arm: ship the fine-grained one.
-        res.block_reports.push_back(
-            {util::Stage::regroup, 0, "regroup",
-             {util::Stage::regroup, expiry_cause(deadline), true,
-              "skipped: budget spent"}});
-        res.degraded = true;
-        tracer_.add_counter("robust.deadline_skips");
-        res.schedule = fine;
-    } else if (!groups.empty()) {
-        util::Tracer::Span grouped_span = tracer_.span("pulses grouped", "pipeline");
-        double grouped_budget = 0.0;
-        const WarmSlots* group_warm = opt_.plan_warm_start ? &plan.group_warm : nullptr;
-        const std::vector<PulseJob> jobs =
-            pulse_jobs_for_blocks(groups, /*coarse_granularity=*/true, deadline, res,
-                                  grouped_budget, group_warm, be);
-        grouped_span.end();
-        util::Tracer::Span gs_span = tracer_.span("schedule asap", "pipeline");
-        const PulseSchedule grouped = schedule_asap(jobs, skel.num_qubits());
-        gs_span.end();
-        const bool grouped_wins = grouped.latency <= fine.latency;
-        tracer_.add_counter(grouped_wins ? "pipeline.grouped_arm_wins"
-                                         : "pipeline.fine_arm_wins");
-        res.schedule = grouped_wins ? grouped : fine;
-        if (grouped_wins) shipped_budget = grouped_budget;
-    } else {
-        res.schedule = fine;
-    }
-    if (res.schedule.dropped_jobs > 0) {
-        // Same §4e accounting as the cold path: out-of-register jobs were
-        // dropped by schedule_asap, so the shipped schedule is degraded.
-        res.block_reports.push_back({util::Stage::schedule, 0, "schedule",
-                                     {util::Stage::schedule, util::Cause::invalid_input,
-                                      true, res.schedule.drop_detail}});
-        res.degraded = true;
-        tracer_.add_counter("robust.dropped_jobs", res.schedule.dropped_jobs);
-    }
-    if (verifier_.enabled()) verifier_.set_error_budget(shipped_budget);
-    res.qoc_ms = ms_since(t0);
+    // Pulse stage: the cold pipeline's, over the bound skeleton and the
+    // plan's bound groups, with per-slot warm starting when enabled
+    // (advisory only — see plan_cache.h).
+    GroupLayout layout;
+    if (!groups.empty()) layout = [&] { return std::optional(std::move(groups)); };
+    pulse_stage(skel, layout, deadline, res, be, opt_.plan_warm_start ? &plan : nullptr);
     return true;
 }
 

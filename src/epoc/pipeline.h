@@ -53,9 +53,11 @@
 #include "verify/verify.h"
 #include "zx/optimize.h"
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 namespace epoc::core {
 
@@ -335,6 +337,8 @@ public:
     PlanCache& plan_cache() { return plan_cache_; }
 
 private:
+    struct PulseFragment;
+
     /// One pulse result through the schedule audit, with the recompute-once
     /// rung applied. `result` is what to ship: the original on pass /
     /// not-checked / unverified, the regenerated one after a cured failure.
@@ -380,10 +384,9 @@ private:
         const util::Deadline& deadline, EpocResult& res, double& audit_err,
         const WarmSlots* warm = nullptr, const backend::Backend* be = nullptr);
     /// The fine-grained pulse arm: one pulse per gate of `current`, in
-    /// parallel, merged in gate order (reports + audit errors included). The
-    /// shared implementation of the cold pipeline's always-on fine arm and
-    /// the plan path's fine arm; `warm` (optional, plan path only) seeds and
-    /// collects per-gate-index warm-start amplitudes.
+    /// parallel, merged in gate order (reports + audit errors included).
+    /// `warm` (optional, plan path only) seeds and collects per-gate-index
+    /// warm-start amplitudes.
     std::vector<PulseJob> fine_pulse_jobs(const circuit::Circuit& current,
                                           const util::Deadline& deadline, EpocResult& res,
                                           double& audit_err,
@@ -412,18 +415,34 @@ private:
     bool try_plan_compile(const circuit::Circuit& c, const util::Deadline& deadline,
                           EpocResult& res, const backend::Backend* be);
     /// The ordinary (non-plan) pipeline: ZX -> partition/synthesis -> pulse
-    /// arms, filling `res` up to (but not including) the common result tail.
+    /// stage, filling `res` up to (but not including) the common result tail.
     void cold_compile(const circuit::Circuit& c, const util::Deadline& deadline,
                       EpocResult& res, const backend::Backend* be);
-    /// Ladder rung 2: one pulse per gate of `blk.body` (mapped to global
-    /// qubits); rung 3 inside substitutes a placeholder job on failure.
-    /// Audited pulses fold their outcome into `outcome` (worst wins) and
-    /// their audit error into `audit_err`.
-    std::vector<PulseJob> gate_fallback_jobs(const partition::CircuitBlock& blk,
-                                             const qoc::LatencySearchOptions& lopt,
-                                             util::BlockStatus& status,
-                                             verify::Outcome& outcome, double& audit_err,
-                                             const backend::Backend* be);
+    /// The grouped arm's blocks, produced when the pulse stage reaches that
+    /// arm; nullopt drops the arm (the provider has reported why).
+    using GroupLayout =
+        std::function<std::optional<std::vector<partition::CircuitBlock>>()>;
+    /// The pulse stage of both compile paths: fine arm and its schedule,
+    /// the deadline skip, the grouped arm over `layout` (none when empty),
+    /// the latency pick, the dropped-job report, the error budget and
+    /// qoc_ms. `warm` (plan path only) supplies the warm-start slots.
+    void pulse_stage(const circuit::Circuit& current, const GroupLayout& layout,
+                     const util::Deadline& deadline, EpocResult& res,
+                     const backend::Backend* be, const CompilationPlan* warm = nullptr);
+    /// The single-gate pulse rung, shared by the fine-grained arm and a
+    /// block's gate-by-gate fallback: target -> Hamiltonian -> library ->
+    /// cause -> audit -> untrusted fidelity, and on any exception a
+    /// placeholder. Appends at most one job to `frag` (none for an identity
+    /// gate), folds its audit outcome (worst wins) and error into `frag`,
+    /// and sets a cause only where `frag` has none yet. `g` carries global
+    /// qubit ids. `warm` (plan path only) seeds and collects slot `slot`.
+    void gate_pulse(const circuit::Gate& g, const qoc::LatencySearchOptions& lopt,
+                    const WarmSlots* warm, std::size_t slot, PulseFragment& frag,
+                    const backend::Backend* be);
+    /// Ladder bottom: a zero-fidelity pulse of worst-case duration over
+    /// `g`'s (global) qubits — structurally schedulable, and impossible to
+    /// mistake for a good pulse.
+    PulseJob placeholder_job(const circuit::Gate& g, const backend::Backend* be);
     /// Schedule audit for one generated pulse (only called on feasible,
     /// authoritative, sampled-in results): audit, recompute once on failure
     /// via PulseLibrary::regenerate, re-audit. Updates `status` with

@@ -1,4 +1,4 @@
-// Objective interface shared by the synthesis instantiater and GRAPE.
+// Objective interface of the synthesis instantiater's optimizer (L-BFGS).
 #pragma once
 
 #include <functional>

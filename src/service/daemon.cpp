@@ -578,27 +578,11 @@ JobResponse EpocDaemon::run_job(Job& job) {
         // requested = unlimited).
         call.deadline_ms =
             job.request.deadline_ms > 0.0 ? job.deadline.remaining_ms() : 0.0;
-        core::EpocResult r = compiler_->compile(circuit, call);
-        // Shared-compiler hazard: single-flight publishes a cancelled or
-        // timed-out leader's degraded pulse to its waiters (then evicts it),
-        // so a healthy job can inherit another job's degradation — e.g. a
-        // disconnect firing job A's token mid-GRAPE degrades job B, which
-        // was waiting on the same pulse key. The waiter cannot tell an
-        // inherited non-authoritative pulse from a deterministic one (both
-        // surface as infeasible/nonfinite block causes), so a degraded
-        // result with our own token and deadline intact is re-compiled once:
-        // inherited poison is already evicted and recomputes clean, while a
-        // genuinely degraded circuit replays out of the library's cached
-        // authoritative entries at almost no cost and ships as-is.
-        if (r.degraded && !r.deadline_hit && !job.cancel->cancelled()) {
-            degraded_retries_.fetch_add(1, std::memory_order_relaxed);
-            if (job.request.deadline_ms > 0.0)
-                call.deadline_ms = job.deadline.remaining_ms();
-            r = compiler_->compile(circuit, call);
-            if (r.degraded)
-                degraded_shipped_.fetch_add(1, std::memory_order_relaxed);
-        }
-
+        // A job waiting on another job's single-flight pulse or synthesis
+        // does not inherit that job's cancellation or timeout: the caches
+        // re-enter on its behalf while its own budget lasts (see
+        // util::ShardedFlightCache::get_or_compute).
+        const core::EpocResult r = compiler_->compile(circuit, call);
         resp.degraded = r.degraded;
         resp.deadline_hit = r.deadline_hit;
         resp.plan_hit = r.plan_hit;
@@ -670,10 +654,6 @@ StatusResponse EpocDaemon::status() const {
     put("service.replay_hits", replay_hits_.load(std::memory_order_relaxed));
     put("service.invalid_backend",
         invalid_backend_.load(std::memory_order_relaxed));
-    put("service.degraded_retries",
-        degraded_retries_.load(std::memory_order_relaxed));
-    put("service.degraded_shipped",
-        degraded_shipped_.load(std::memory_order_relaxed));
     put("service.drain_deadline_exceeded",
         drain_deadline_exceeded_.load(std::memory_order_relaxed));
     put("service.queued", a.queued);

@@ -218,11 +218,6 @@ private:
     /// invalid_input at admission).
     std::atomic<std::uint64_t> invalid_backend_{0};
     std::atomic<std::uint64_t> drain_deadline_exceeded_{0};
-    /// Healthy jobs whose first compile came back degraded (inherited another
-    /// job's cancellation via the shared compiler) and were re-compiled once.
-    std::atomic<std::uint64_t> degraded_retries_{0};
-    /// Retries that were still degraded — the result shipped as-is.
-    std::atomic<std::uint64_t> degraded_shipped_{0};
 };
 
 } // namespace epoc::service

@@ -21,6 +21,8 @@
 // the same mutex.
 #pragma once
 
+#include "util/deadline.h"
+
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -61,6 +63,11 @@ public:
     ShardedFlightCache(const ShardedFlightCache&) = delete;
     ShardedFlightCache& operator=(const ShardedFlightCache&) = delete;
 
+    /// Re-entries a waiter makes after inheriting an uncacheable value (see
+    /// get_or_compute). Bounded so a stream of dying leaders cannot spin a
+    /// waiter forever.
+    static constexpr int kWaiterRetries = 3;
+
     /// Return the cached value for `key`, computing it with `make` on a miss.
     /// Concurrent callers with the same key: one computes, the others wait.
     /// If the leader's `make` throws, the slot is erased (so a later call
@@ -69,82 +76,35 @@ public:
     ///
     /// `cacheable` (optional) vets the computed value: when it returns false
     /// the value is still handed to the leader and to every waiter already
-    /// blocked on the slot — they asked under the same conditions that
-    /// degraded it — but the entry is evicted immediately, so no *later*
-    /// lookup is served the degraded value as an authoritative hit; it
-    /// recomputes instead (e.g. a compile with a fresh deadline re-attempting
-    /// a timed-out pulse).
+    /// blocked on the slot, but the entry is evicted immediately, so no
+    /// *later* lookup is served the degraded value as an authoritative hit;
+    /// it recomputes instead (e.g. a compile with a fresh deadline
+    /// re-attempting a timed-out pulse).
+    ///
+    /// Waiter retry: a waiter that inherits a value `cacheable` rejects got
+    /// another caller's degradation (that leader's deadline or token ran
+    /// out, not necessarily its own). When the waiter passed a `deadline`
+    /// that has not expired, it compare-and-evicts the inherited value and
+    /// re-enters the lookup — recomputing, or joining a live leader — up to
+    /// kWaiterRetries times, calling `on_retry` once per re-entry. A waiter
+    /// whose own budget is spent, or that passed no deadline, ships the
+    /// inherited value. The leader always gets its own value.
     std::shared_ptr<const V> get_or_compute(
         const std::string& key, const std::function<V()>& make,
-        const std::function<bool(const V&)>& cacheable = {}) {
-        Shard& shard = shard_of(key);
-        std::shared_ptr<Slot> slot;
-        bool leader = false;
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            auto it = shard.table.find(key);
-            if (it == shard.table.end()) {
-                slot = std::make_shared<Slot>();
-                shard.table.emplace(key, slot);
-                leader = true;
-            } else {
-                slot = it->second;
-            }
+        const std::function<bool(const V&)>& cacheable = {},
+        const Deadline* deadline = nullptr, const std::function<void()>& on_retry = {}) {
+        for (int attempt = 0;; ++attempt) {
+            bool leader = false;
+            std::shared_ptr<const V> value = lookup(key, make, cacheable, leader);
+            if (leader || deadline == nullptr || !cacheable || cacheable(*value) ||
+                deadline->expired() || attempt >= kWaiterRetries)
+                return value;
+            // The leader already evicted its degraded value; compare-and-evict
+            // keeps the retry correct on its own (a no-op once the slot is
+            // gone or replaced).
+            erase_if(key, value);
+            if (on_retry) on_retry();
         }
-
-        if (leader) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            try {
-                auto value = std::make_shared<const V>(make());
-                const bool keep = !cacheable || cacheable(*value);
-                if (!keep) {
-                    // Evict BEFORE publishing: once ready is set, a waking
-                    // waiter can loop back around and look the key up again
-                    // ahead of this thread being rescheduled — publishing
-                    // first opens a window where the degraded value is served
-                    // as an ordinary hit (observed on a 1-core host: a
-                    // waiter's bounded retry loop burned every attempt on
-                    // that window). Evicting first means any lookup after
-                    // publication recomputes; only callers already blocked on
-                    // the slot receive the degraded value.
-                    uncacheable_.fetch_add(1, std::memory_order_relaxed);
-                    std::lock_guard<std::mutex> lock(shard.mutex);
-                    // Evict only our own slot: a concurrent eviction+reinsert
-                    // cycle may have put a fresh slot under this key.
-                    const auto it = shard.table.find(key);
-                    if (it != shard.table.end() && it->second == slot)
-                        shard.table.erase(it);
-                }
-                {
-                    std::lock_guard<std::mutex> lock(slot->mutex);
-                    slot->value = std::move(value);
-                    slot->ready = true;
-                }
-                slot->cv.notify_all();
-            } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lock(slot->mutex);
-                    slot->error = std::current_exception();
-                    slot->ready = true;
-                }
-                slot->cv.notify_all();
-                std::lock_guard<std::mutex> lock(shard.mutex);
-                const auto it = shard.table.find(key);
-                if (it != shard.table.end() && it->second == slot)
-                    shard.table.erase(it);
-                throw;
-            }
-            return slot->value;
-        }
-
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        std::unique_lock<std::mutex> lock(slot->mutex);
-        if (!slot->ready) {
-            waits_.fetch_add(1, std::memory_order_relaxed);
-            slot->cv.wait(lock, [&] { return slot->ready; });
-        }
-        if (slot->error) std::rethrow_exception(slot->error);
-        return slot->value;
     }
 
     /// Drop the entry under `key` so the next lookup recomputes. Safe against
@@ -235,6 +195,80 @@ private:
         mutable std::mutex mutex;
         std::unordered_map<std::string, std::shared_ptr<Slot>> table;
     };
+
+    /// One single-flight lookup; `leader` reports whether this call ran
+    /// `make`.
+    std::shared_ptr<const V> lookup(const std::string& key, const std::function<V()>& make,
+                                    const std::function<bool(const V&)>& cacheable,
+                                    bool& leader) {
+        Shard& shard = shard_of(key);
+        std::shared_ptr<Slot> slot;
+        {
+            std::lock_guard<std::mutex> lock(shard.mutex);
+            auto it = shard.table.find(key);
+            if (it == shard.table.end()) {
+                slot = std::make_shared<Slot>();
+                shard.table.emplace(key, slot);
+                leader = true;
+            } else {
+                slot = it->second;
+            }
+        }
+
+        if (leader) {
+            misses_.fetch_add(1, std::memory_order_relaxed);
+            try {
+                auto value = std::make_shared<const V>(make());
+                const bool keep = !cacheable || cacheable(*value);
+                if (!keep) {
+                    // Evict BEFORE publishing: once ready is set, a waking
+                    // waiter can loop back around and look the key up again
+                    // ahead of this thread being rescheduled — publishing
+                    // first opens a window where the degraded value is served
+                    // as an ordinary hit (observed on a 1-core host: a
+                    // waiter's bounded retry loop burned every attempt on
+                    // that window). Evicting first means any lookup after
+                    // publication recomputes; only callers already blocked on
+                    // the slot receive the degraded value.
+                    uncacheable_.fetch_add(1, std::memory_order_relaxed);
+                    std::lock_guard<std::mutex> lock(shard.mutex);
+                    // Evict only our own slot: a concurrent eviction+reinsert
+                    // cycle may have put a fresh slot under this key.
+                    const auto it = shard.table.find(key);
+                    if (it != shard.table.end() && it->second == slot)
+                        shard.table.erase(it);
+                }
+                {
+                    std::lock_guard<std::mutex> lock(slot->mutex);
+                    slot->value = std::move(value);
+                    slot->ready = true;
+                }
+                slot->cv.notify_all();
+            } catch (...) {
+                {
+                    std::lock_guard<std::mutex> lock(slot->mutex);
+                    slot->error = std::current_exception();
+                    slot->ready = true;
+                }
+                slot->cv.notify_all();
+                std::lock_guard<std::mutex> lock(shard.mutex);
+                const auto it = shard.table.find(key);
+                if (it != shard.table.end() && it->second == slot)
+                    shard.table.erase(it);
+                throw;
+            }
+            return slot->value;
+        }
+
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        std::unique_lock<std::mutex> lock(slot->mutex);
+        if (!slot->ready) {
+            waits_.fetch_add(1, std::memory_order_relaxed);
+            slot->cv.wait(lock, [&] { return slot->ready; });
+        }
+        if (slot->error) std::rethrow_exception(slot->error);
+        return slot->value;
+    }
 
     Shard& shard_of(const std::string& key) {
         return shards_[std::hash<std::string>{}(key) % shards_.size()];

@@ -6,13 +6,16 @@
 #include "epoc/export.h"
 #include "epoc/pipeline.h"
 #include "qoc/pulse_io.h"
+#include "util/fault_injection.h"
 
 #include "bench_circuits/generators.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -187,6 +190,47 @@ TEST(PlanCache, AngleFreeCircuitMatchesThePlanlessPipeline) {
     EXPECT_TRUE(hit.plan_hit);
     EXPECT_EQ(digest(off.schedule), digest(build.schedule));
     EXPECT_EQ(digest(off.schedule), digest(hit.schedule));
+
+    // The same equality down every rung of the pulse-stage ladder: the plan
+    // path and the cold path share one pulse stage, so under each armed
+    // fault site they must ship the same schedule, the same degraded flag
+    // and the same pulse-stage reports. Synthesis reports are excluded: the
+    // plan build keeps its own (it throws rather than degrade).
+    const auto pulse_reports = [](const EpocResult& r) {
+        std::vector<std::string> out;
+        for (const BlockReport& b : r.block_reports)
+            if (b.stage != epoc::util::Stage::synthesis)
+                out.push_back(b.label + ": " + b.status.to_string());
+        return out;
+    };
+    const char* const specs[] = {"", "pulse.block=*", "pulse.gate=*",
+                                 "latency.infeasible=*", "grape.nonfinite=*"};
+    for (const char* spec : specs) {
+        for (const int n : {3, 4}) {
+            SCOPED_TRACE(std::string("faults '") + spec + "', ghz(" + std::to_string(n) +
+                         ")");
+            EpocOptions base = cheap_options();
+            base.latency.grape.max_iterations = 30;
+            base.trace_enabled = true;
+            EpocOptions with_plan = base;
+            with_plan.plan_cache = true;
+            with_plan.plan_warm_start = false;
+
+            epoc::util::fault::configure(spec);
+            const EpocResult cold = EpocCompiler(base).compile(epoc::bench::ghz(n));
+            epoc::util::fault::configure(spec);
+            const EpocResult plan = EpocCompiler(with_plan).compile(epoc::bench::ghz(n));
+            epoc::util::fault::clear();
+
+            const auto& counters = plan.trace.counters;
+            EXPECT_TRUE(std::none_of(counters.begin(), counters.end(), [](const auto& kv) {
+                return kv.first == "robust.plan_fallbacks";
+            })) << "the plan path fell back to the cold pipeline";
+            EXPECT_EQ(digest(cold.schedule), digest(plan.schedule));
+            EXPECT_EQ(cold.degraded, plan.degraded);
+            EXPECT_EQ(pulse_reports(cold), pulse_reports(plan));
+        }
+    }
 }
 
 } // namespace
